@@ -36,9 +36,10 @@ def build():
 def main():
     if not build():
         return 1
-    os.chdir(ROOT)
     sys.stdout.flush()
-    os.execv(BINARY, [BINARY] + sys.argv[1:])
+    # A child process of its own, so that its CPU clock, from which setup_s
+    # is read, starts with it and not with this interpreter.
+    return subprocess.run([BINARY] + sys.argv[1:], cwd=ROOT).returncode
 
 
 if __name__ == "__main__":

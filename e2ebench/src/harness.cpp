@@ -1,6 +1,7 @@
 #include "harness.h"
 
 #include <sys/resource.h>
+#include <time.h>
 
 #include <cmath>
 #include <cstdio>
@@ -104,7 +105,6 @@ Served::Served(const Workload& workload, NodeOptions options)
         static_cast<int>(i));
   }
 
-  std::int64_t start = now_ns();
   openei::core::EdgeNodeConfig config{openei::hwsim::edge_server(),
                                       openei::hwsim::openei_package()};
   config.service.coalesce_inference = options.coalesce;
@@ -113,7 +113,7 @@ Served::Served(const Workload& workload, NodeOptions options)
   config.service.lifecycle.budget_bytes = w.budget_bytes;
   node_ = std::make_unique<openei::core::EdgeNode>(config);
   port_ = node_->start_server(0);
-  control_ = std::make_unique<Connection>(port_);
+  reconnect_control();
   for (const Variant& v : w.variants) {
     Response r = control_->roundtrip(http_request("POST", deploy_target(v), v.text[0]));
     if (r.status != 201) {
@@ -135,7 +135,8 @@ Served::Served(const Workload& workload, NodeOptions options)
                                checks.first_error + std::string(r.body.substr(0, 200)));
     }
   }
-  setup_s = static_cast<double>(now_ns() - start) * 1e-9;
+  ready_cpu_s = process_cpu_s();
+  ready_ns = now_ns();
 
   for (int c = 0; c < 4; ++c) conns_.push_back(std::make_unique<Connection>(port_));
   if (w.churn) op = std::make_unique<Operator>(w, log, port_);
@@ -148,7 +149,12 @@ Served::~Served() {
   node_.reset();
 }
 
+void Served::reconnect_control() {
+  control_ = std::make_unique<Connection>(port_);
+}
+
 Status Served::status() {
+  reconnect_control();
   Response r = control_->roundtrip(http_request("GET", "/ei_status"));
   if (r.status != 200) throw std::runtime_error("GET /ei_status failed");
   return parse_status(r.body);
@@ -173,7 +179,7 @@ void Served::check(const Template& t, const InFlight& request, std::int64_t done
 }
 
 Served::Load Served::drive(std::size_t connections, double seconds, double rate,
-                           double window_s, bool with_operator) {
+                           double window_s, bool with_operator, bool keep_latencies) {
   std::vector<Connection*> cs;
   for (std::size_t c = 0; c < connections && c < conns_.size(); ++c) {
     cs.push_back(conns_[c].get());
@@ -192,11 +198,13 @@ Served::Load Served::drive(std::size_t connections, double seconds, double rate,
     return w.templates[static_cast<std::size_t>(id)].wire;
   };
   plan.on_response = [&](const InFlight& f, std::int64_t done, const Response& r) {
-    load.latency_ms.push_back(static_cast<double>(done - f.sent_ns) * 1e-6);
+    if (keep_latencies) load.latency_ms.push_back(static_cast<double>(done - f.sent_ns) * 1e-6);
     if (r.status == 200) check(w.templates[static_cast<std::size_t>(f.tmpl)], f, done, r);
   };
+  double cpu0 = process_cpu_s();
   try {
     load.phase = run_phase(cs, plan, with_operator && op ? op->channel() : nullptr);
+    load.cpu_s = process_cpu_s() - cpu0;
   } catch (const std::exception& e) {
     openei::net::ServerStats stats = node_->server_stats();
     throw std::runtime_error(std::string(e.what()) + " (server: idle_closed " +
@@ -225,6 +233,7 @@ std::vector<double> Served::swap_series(double seconds) {
   for (std::size_t v = 0; v < w.variants.size(); ++v) {
     if (!w.variants[v].text[1].empty()) swappable.push_back(static_cast<int>(v));
   }
+  reconnect_control();
   std::vector<double> times;
   std::int64_t end = now_ns() + static_cast<std::int64_t>(seconds * 1e9);
   for (std::size_t i = 0; i < 20 || (now_ns() < end && i < 2000); ++i) {
@@ -283,6 +292,18 @@ std::string cross_check(const Status& before, const Status& after,
     return buf;
   }
   return "";
+}
+
+double process_cpu_s() {
+  timespec t{};
+  ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &t);
+  return static_cast<double>(t.tv_sec) + static_cast<double>(t.tv_nsec) * 1e-9;
+}
+
+double thread_cpu_s() {
+  timespec t{};
+  ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &t);
+  return static_cast<double>(t.tv_sec) + static_cast<double>(t.tv_nsec) * 1e-9;
 }
 
 double peak_rss_mb() {

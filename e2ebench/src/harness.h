@@ -63,26 +63,28 @@ class Operator {
 class Served {
  public:
   /// Constructs the node, deploys every variant over POST /ei_models and
-  /// waits for one correct answer from each; `setup_s` times exactly that.
+  /// waits for one correct answer from each; `ready_cpu_s` is the process's
+  /// CPU time when the last of them arrived.
   Served(const Workload& w, NodeOptions options);
   ~Served();
 
   openei::core::EdgeNode& node() { return *node_; }
   std::uint16_t port() const { return port_; }
-  Connection& control() { return *control_; }
   Status status();
-  double setup_s = 0.0;
+  double ready_cpu_s = 0.0;
+  std::int64_t ready_ns = 0;
 
   struct Load {
     PhaseResult phase;
     std::uint64_t rows = 0;
-    std::vector<double> latency_ms;  // every request, sent -> done
+    std::vector<double> latency_ms;  // every request, sent -> done (if kept)
+    double cpu_s = 0.0;              // process CPU time, every thread
   };
   /// Drives the workload's templates (cyclically, from `cursor`) through
   /// `connections` keep-alive connections, checking every answer.
   /// `rate` = 0 runs a closed loop.
   Load drive(std::size_t connections, double seconds, double rate,
-             double window_s, bool with_operator);
+             double window_s, bool with_operator, bool keep_latencies = false);
   /// Closed loop of one fixed request (the net floor); counts answers.
   PhaseResult drive_fixed(const std::string& wire, double seconds, double window_s);
   /// Sequential hot-swaps with no other load for about `seconds` (at least
@@ -100,6 +102,9 @@ class Served {
  private:
   void check(const Template& t, const InFlight& request, std::int64_t done,
              const Response& r);
+  /// A fresh control connection: the node closes one idle for longer than
+  /// its 30 s keep-alive timeout, and a run may outlast that.
+  void reconnect_control();
 
   std::unique_ptr<openei::core::EdgeNode> node_;
   std::uint16_t port_ = 0;
@@ -116,6 +121,10 @@ std::string cross_check(const Status& before, const Status& after,
                         std::uint64_t model_ops, double client_energy_j);
 
 double peak_rss_mb();
+/// CPU time of the whole process (every thread) since it started.
+double process_cpu_s();
+/// CPU time of the calling thread.
+double thread_cpu_s();
 
 struct Metric {
   std::string name;

@@ -236,7 +236,7 @@ RunResult run_traced(const Workload& w, std::uint64_t seed, double seconds,
   res.add("batcher.queue_wait_us", median(ei["queue_wait"]), "us");
 
   // One connection: HTTP p50 against the in-process handle p50 below.
-  Served::Load single = a.drive(1, unit, 0.0, unit / 4, false);
+  Served::Load single = a.drive(1, unit, 0.0, unit / 4, false, true);
   account(single);
   double http_p50_us = median(single.latency_ms) * 1e3;
 

@@ -186,6 +186,7 @@ PhaseResult run_phase(const std::vector<Connection*>& conns,
           std::size_t c = (rr + k) % conns.size();
           if (inflight[c].size() < inflight[best].size()) best = c;
         }
+        if (inflight[best].size() >= kMaxPipelined) break;  // waits, still timed from due
         ++rr;
         send(best, due, now);
       }
@@ -218,7 +219,7 @@ PhaseResult run_phase(const std::vector<Connection*>& conns,
                     0};
     }
     std::int64_t wait_ns = 5'000'000;
-    if (open && result.sent < total) {
+    if (open && result.sent < total && outstanding < conns.size() * kMaxPipelined) {
       std::int64_t next_due =
           t0 + static_cast<std::int64_t>(static_cast<double>(result.sent) * gap_ns);
       wait_ns = std::clamp<std::int64_t>(next_due - now_ns(), 0, wait_ns);

@@ -1,8 +1,8 @@
 // Keep-alive HTTP/1.1 load generator over loopback.  One thread drives every
 // connection through poll(): a closed loop keeps one request outstanding per
 // connection; an open loop sends on a fixed schedule and pipelines onto the
-// least-busy connection when none is idle, timing each request from when it
-// was due.
+// least-busy connection when none is idle (up to kMaxPipelined each), timing
+// each request from when it was due.
 #pragma once
 
 #include <cstdint>
@@ -86,6 +86,12 @@ struct PhaseResult {
   std::vector<std::vector<double>> window_latency_ms;  // open loop, by due time
   std::vector<double> lateness_ms;                  // open loop: sent - due
 };
+
+/// Most requests an open loop keeps outstanding on one connection.  Requests
+/// due beyond that wait in the generator, timed from when they were due, so a
+/// connection never holds more than a few KiB of unread requests and each
+/// server read ends on a request boundary.
+inline constexpr std::size_t kMaxPipelined = 16;
 
 /// Runs one phase over `conns`; drains every outstanding request before it
 /// returns and throws if one never completes.

@@ -34,46 +34,47 @@ struct Args {
   std::string self_test;
 };
 
-/// Median over windows of each window's latency quantile.
-double windowed_quantile(const PhaseResult& phase, double q) {
-  std::vector<double> per_window;
-  for (const auto& window : phase.window_latency_ms) {
-    if (!window.empty()) per_window.push_back(quantile(window, q));
-  }
-  return median(per_window);
+// Taken during static initialisation, before main().
+const std::int64_t kProcessStartNs = now_ns();
+
+void merge(PhaseResult& into, const PhaseResult& from) {
+  into.sent += from.sent;
+  into.completed += from.completed;
+  into.failed += from.failed;
+  into.elapsed_s += from.elapsed_s;
+  into.window_rps.insert(into.window_rps.end(), from.window_rps.begin(), from.window_rps.end());
+  into.window_latency_ms.insert(into.window_latency_ms.end(), from.window_latency_ms.begin(),
+                                from.window_latency_ms.end());
+  into.lateness_ms.insert(into.lateness_ms.end(), from.lateness_ms.begin(),
+                          from.lateness_ms.end());
 }
 
-RunResult run_e2e(const Workload& w, const Args& args) {
+RunResult run_e2e(const Workload& w, const Args& args, double workload_cpu_s) {
   RunResult res;
   Served s(w, {false, args.coalesce});
   if (args.self_test == "corrupt") s.corrupt_at = 1000;
 
   Status before = s.status();
   double energy0 = s.checks.energy_j;
-  // A quarter of the time closed loop for throughput, the rest open loop for
-  // latency, interleaved in kSlices slices so that a few seconds of host
-  // noise touch a few windows of each rather than most windows of one.  Each
-  // open window holds at least 1000 requests, so its p99 has 10 beyond it.
+  // kSlices slices, each a closed loop on 4 connections (throughput) and
+  // then an open loop at the workload's fixed rate (latency), both reported
+  // on standard error, so that a few seconds of host noise touch a few
+  // windows of each.  The open loop's process CPU time per request is
+  // cpu_us_per_request: on a VM with steal time, wall-clock throughput and
+  // latency spread far past any usable bound between runs, CPU time much
+  // less.  Each open window holds at least 1000 requests, so its p99 has 10
+  // beyond it.
   constexpr int kSlices = 4;
   const double slice = args.seconds / kSlices;
   const double window = std::max(0.5, 1000.0 / w.open_rate);
   PhaseResult closed, open;
+  double open_cpu_s = 0.0;
   for (int k = 0; k < kSlices; ++k) {
     Served::Load c = s.drive(4, 0.25 * slice, 0.0, 0.25, true);
     Served::Load o = s.drive(4, 0.75 * slice, w.open_rate, window, true);
-    for (auto [into, from] : {std::pair{&closed, &c.phase}, std::pair{&open, &o.phase}}) {
-      into->sent += from->sent;
-      into->completed += from->completed;
-      into->failed += from->failed;
-      into->elapsed_s += from->elapsed_s;
-      into->window_rps.insert(into->window_rps.end(), from->window_rps.begin(),
-                              from->window_rps.end());
-      into->window_latency_ms.insert(into->window_latency_ms.end(),
-                                     from->window_latency_ms.begin(),
-                                     from->window_latency_ms.end());
-      into->lateness_ms.insert(into->lateness_ms.end(), from->lateness_ms.begin(),
-                               from->lateness_ms.end());
-    }
+    merge(closed, c.phase);
+    merge(open, o.phase);
+    open_cpu_s += o.cpu_s;
   }
   Status after = s.status();
 
@@ -85,14 +86,19 @@ RunResult run_e2e(const Workload& w, const Args& args) {
   res.require(xc.empty(), "cross-check: " + xc);
 
   std::vector<double> deploy = s.op ? s.op->swap_ms : s.swap_series(1.0);
+  std::vector<double> p50s, p99s;
+  for (const auto& lat : open.window_latency_ms) {
+    if (lat.empty()) continue;
+    p50s.push_back(quantile(lat, 0.50));
+    p99s.push_back(quantile(lat, 0.99));
+  }
   res.attempted = closed.sent + open.sent + ops;
   res.failed = closed.failed + open.failed + (s.op ? s.op->failed : 0);
-  res.add("throughput_rps", median(closed.window_rps), "req/s");
-  res.add("latency_p50_ms", windowed_quantile(open, 0.50), "ms");
-  res.add("latency_p99_ms", windowed_quantile(open, 0.99), "ms");
-  res.add("setup_s", s.setup_s, "s");
+  res.add("cpu_us_per_request",
+          open_cpu_s * 1e6 / static_cast<double>(std::max<std::uint64_t>(1, open.completed)),
+          "us");
+  res.add("setup_s", s.ready_cpu_s - workload_cpu_s, "s");
   res.add("peak_rss_mb", peak_rss_mb(), "MB");
-  res.add("deploy_p50_ms", median(deploy), "ms");
 
   res.require(s.checks.wrong == 0, "wrong answer: " + s.checks.first_error);
   if (s.checks.int8_rows > 0) {
@@ -112,20 +118,19 @@ RunResult run_e2e(const Workload& w, const Args& args) {
                  static_cast<unsigned long long>(polls));
   }
   std::fprintf(stderr,
-               "closed loop: %llu requests in %.2f s; open loop: %llu requests at "
-               "%.0f req/s offered, %.2f s, generator late p99 %.3f ms max %.3f ms\n",
-               static_cast<unsigned long long>(closed.completed),
-               closed.elapsed_s,
-               static_cast<unsigned long long>(open.completed), w.open_rate,
-               open.elapsed_s, quantile(open.lateness_ms, 0.99),
-               quantile(open.lateness_ms, 1.0));
-  std::string windows;
-  for (const auto& lat : open.window_latency_ms) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), " %.3f", quantile(lat, 0.99));
-    windows += buf;
-  }
-  std::fprintf(stderr, "open-loop p99 by window (ms):%s\n", windows.c_str());
+               "closed loop: %llu requests in %.2f s, median window %.0f req/s\n"
+               "open loop: %llu requests at %.0f req/s offered, %.2f s, window p50 %.4f "
+               "p99 %.4f ms, generator late p99 %.3f ms max %.3f ms\n"
+               "hot-swaps: %zu, round trip p10 %.4f p50 %.4f ms\n"
+               "set-up: %.4f s wall from the process's start, %.4f s CPU less the inputs' "
+               "%.4f s\n",
+               static_cast<unsigned long long>(closed.completed), closed.elapsed_s,
+               median(closed.window_rps), static_cast<unsigned long long>(open.completed),
+               w.open_rate, open.elapsed_s,
+               median(p50s), median(p99s), quantile(open.lateness_ms, 0.99),
+               quantile(open.lateness_ms, 1.0), deploy.size(), quantile(deploy, 0.10),
+               quantile(deploy, 0.50), static_cast<double>(s.ready_ns - kProcessStartNs) * 1e-9,
+               s.ready_cpu_s - workload_cpu_s, workload_cpu_s);
   return res;
 }
 
@@ -170,7 +175,9 @@ int main(int argc, char** argv) {
   openei::common::set_log_level(openei::common::LogLevel::kError);
   try {
     std::int64_t start = now_ns();
+    double cpu0 = thread_cpu_s();
     Workload w = make_workload(args.workload, args.seed);
+    double workload_cpu_s = thread_cpu_s() - cpu0;
     std::fprintf(stderr, "inputs and reference answers built in %.2f s\n",
                  static_cast<double>(now_ns() - start) * 1e-9);
     std::fprintf(stderr, "host: fp32 %s, int8 %s; workload %s, seed %llu, %zu templates\n",
@@ -178,7 +185,7 @@ int main(int argc, char** argv) {
                  w.name.c_str(), static_cast<unsigned long long>(args.seed),
                  w.templates.size());
     RunResult res = args.trace ? run_traced(w, args.seed, args.seconds, args.coalesce)
-                               : run_e2e(w, args);
+                               : run_e2e(w, args, workload_cpu_s);
     print_result(res);
     return 0;
   } catch (const std::exception& e) {

@@ -296,10 +296,10 @@ Workload make_workload(const std::string& name, std::uint64_t seed) {
     }
     // Holds about a third of the models; each still fits alone.
     w.budget_bytes = std::max(total_bytes / 3, largest);
+    // A fixed popularity order that mixes small and large models.  It does
+    // not depend on the seed, so every seed loads the cache alike.
     std::vector<int> rank_to_model(12);
-    for (int k = 0; k < 12; ++k) rank_to_model[static_cast<std::size_t>(k)] = k;
-    std::mt19937_64 shuffle_rng(seed * 31 + 7);
-    std::shuffle(rank_to_model.begin(), rank_to_model.end(), shuffle_rng);
+    for (int r = 0; r < 12; ++r) rank_to_model[static_cast<std::size_t>(r)] = 5 * r % 12;
     std::vector<double> zipf;
     for (int r = 0; r < 12; ++r) zipf.push_back(1.0 / std::pow(r + 1.0, 1.1));
     std::discrete_distribution<int> by_rank(zipf.begin(), zipf.end());
